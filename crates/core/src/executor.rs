@@ -13,14 +13,14 @@
 //!   counts are later fetched lazily via per-attribute GROUP BY queries
 //!   (handled by the middleware after the scan).
 
-use crate::cc::{CountsTable, CC_ENTRY_BYTES};
+use crate::cc::{BlockOutcome, CountsTable, CC_ENTRY_BYTES};
 use crate::error::MwResult;
 use crate::metrics::MiddlewareStats;
 use crate::request::CcRequest;
 use crate::staging::FileWriter;
 use scaleclass_sqldb::types::{Code, CODE_BYTES};
 use scaleclass_sqldb::Pred;
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 
 /// Counting state for one scheduled node during a scan.
 pub struct NodeCounter {
@@ -80,13 +80,8 @@ pub struct BatchCounter {
     /// Count whole blocks through `CountsTable::add_block` when possible
     /// (`MiddlewareConfig::batch_kernel`); off pins the row path.
     pub(crate) batch_kernel: bool,
-    /// Reusable column scratch: one `Vec` per source column, refilled by
-    /// the block transpose and reused across blocks.
-    col_scratch: Vec<Vec<Code>>,
-    /// Reusable gathered-column scratch for selective predicates.
-    gather_scratch: Vec<Vec<Code>>,
-    /// Reusable selection-vector scratch (row indices matching a pred).
-    sel_scratch: Vec<u32>,
+    /// Reusable partition/gather scratch for the batched kernel.
+    block: BlockScratch,
 }
 
 /// Candidate prefilter over a batch's predicates: nodes whose path
@@ -96,45 +91,71 @@ pub struct BatchCounter {
 /// selective one. A row only fully evaluates the nodes in its matching
 /// buckets plus the few nodes with no Eq conjunct at all. This turns the
 /// per-row cost from O(batch size) to O(matching nodes), which is what
-/// makes full-scale (multi-MB) scans tractable. Built once per scan and
-/// read-only afterwards, so the serial counter and every parallel worker
-/// can share the same structure.
-pub(crate) struct Dispatch {
-    /// `(col, value)` buckets of node indices.
-    map: HashMap<(usize, Code), Vec<usize>>,
-    /// Distinct columns appearing as dispatch keys.
-    cols: Vec<usize>,
+/// makes full-scale (multi-MB) scans tractable.
+///
+/// The buckets are dense: one table per dispatch column, indexed directly
+/// by code, so a row's lookup is one bounds check and one load per
+/// dispatch column instead of a hash of `(col, value)`. Candidates come
+/// out in a fixed order — unkeyed nodes first, then each dispatch column
+/// in ascending order, each bucket in node order — which the row path
+/// relies on: evictions and §4.1.1 fallbacks fire in candidate order.
+/// Built once per scan and read-only afterwards, so the serial counter
+/// and every parallel worker can share the same structure.
+pub struct Dispatch {
+    /// One bucket table per dispatch column, ascending by column:
+    /// `table[code]` lists the nodes keyed on `(col, code)`. A code past
+    /// the table's end keys no node.
+    tables: Vec<(usize, Vec<Vec<usize>>)>,
     /// Nodes with no Eq conjunct (root, pure-NotEq paths): always checked.
     unkeyed: Vec<usize>,
+    /// Number of node predicates the prefilter was built over.
+    nodes: usize,
 }
 
 impl Dispatch {
     /// Build the prefilter for an ordered list of node predicates.
-    pub(crate) fn new<'a>(preds: impl Iterator<Item = &'a Pred>) -> Self {
-        let mut map: HashMap<(usize, Code), Vec<usize>> = HashMap::new();
+    pub fn new<'a>(preds: impl Iterator<Item = &'a Pred>) -> Self {
+        let mut by_col: BTreeMap<usize, Vec<Vec<usize>>> = BTreeMap::new();
         let mut unkeyed = Vec::new();
+        let mut nodes = 0;
         for (i, pred) in preds.enumerate() {
-            match deepest_eq_atom(pred) {
-                Some(key) => map.entry(key).or_default().push(i),
-                None => unkeyed.push(i),
+            nodes = i + 1;
+            let Some((col, value)) = deepest_eq_atom(pred) else {
+                unkeyed.push(i);
+                continue;
+            };
+            let table = by_col.entry(col).or_default();
+            let slot = usize::from(value);
+            if table.len() <= slot {
+                table.resize_with(slot + 1, Vec::new);
             }
+            // analyze:allow(hot-path-panic): the table was just grown past `slot`.
+            table[slot].push(i);
         }
-        let mut cols: Vec<usize> = map.keys().map(|&(c, _)| c).collect();
-        cols.sort_unstable();
-        cols.dedup();
-        Dispatch { map, cols, unkeyed }
+        Dispatch {
+            tables: by_col.into_iter().collect(),
+            unkeyed,
+            nodes,
+        }
+    }
+
+    /// Number of node predicates this prefilter dispatches over.
+    pub(crate) fn nodes(&self) -> usize {
+        self.nodes
     }
 
     /// Collect into `out` the node indices whose predicate might match
-    /// `row` (a superset of the true matches).
-    pub(crate) fn candidates(&self, row: &[Code], out: &mut Vec<usize>) {
+    /// `row` (a superset of the true matches), in the documented order.
+    pub fn candidates(&self, row: &[Code], out: &mut Vec<usize>) {
         out.clear();
         out.extend_from_slice(&self.unkeyed);
-        for &col in &self.cols {
+        for (col, table) in &self.tables {
             // A dispatch column beyond this row's arity cannot match any
             // predicate, so an out-of-range lookup just yields no candidates.
-            let Some(&value) = row.get(col) else { continue };
-            if let Some(idxs) = self.map.get(&(col, value)) {
+            let Some(&value) = row.get(*col) else {
+                continue;
+            };
+            if let Some(idxs) = table.get(usize::from(value)) {
                 out.extend_from_slice(idxs);
             }
         }
@@ -150,18 +171,175 @@ fn deepest_eq_atom(pred: &Pred) -> Option<(usize, Code)> {
     }
 }
 
-/// Columnar twin of [`Pred::eval`]: evaluate a predicate against row `r`
-/// of a column-major block. Mirrors `eval` exactly, including the panic
-/// on a column index past the block's arity (predicates are built against
-/// the scanned schema, so the columns are structurally present).
-pub(crate) fn pred_eval_cols(pred: &Pred, cols: &[Vec<Code>], r: usize) -> bool {
-    match pred {
-        Pred::True => true,
-        Pred::False => false,
-        Pred::Eq { col, value } => cols[*col][r] == *value,
-        Pred::NotEq { col, value } => cols[*col][r] != *value,
-        Pred::And(children) => children.iter().all(|p| pred_eval_cols(p, cols, r)),
-        Pred::Or(children) => children.iter().any(|p| pred_eval_cols(p, cols, r)),
+/// A block of scanned rows in whichever layout its source produced.
+#[derive(Clone, Copy)]
+pub(crate) enum Block<'a> {
+    /// Row-major: `arity` codes per row (memory-staged and server scans,
+    /// the parallel channel workers).
+    Rows { flat: &'a [Code], arity: usize },
+    /// Column-major: one equal-length vector per source column (sharded
+    /// extent readers decode straight to columns).
+    Cols(&'a [Vec<Code>]),
+}
+
+impl Block<'_> {
+    /// Rows in the block.
+    pub(crate) fn nrows(&self) -> usize {
+        match self {
+            Block::Rows { flat, arity } => flat.len() / arity,
+            Block::Cols(cols) => cols.first().map_or(0, Vec::len),
+        }
+    }
+}
+
+/// Reusable scratch for partition-first block counting, shared by the
+/// serial counter and every parallel shard. A block is counted in three
+/// steps: [`BlockScratch::partition`] routes each row through the
+/// [`Dispatch`] once and files it under every node whose predicate it
+/// satisfies; the caller gates the block on the selection-sized growth
+/// bound; then [`BlockScratch::count_into`] gathers each hit node's
+/// attribute and class codes at its selection and hands them to
+/// `CountsTable::add_block`.
+#[derive(Default)]
+pub(crate) struct BlockScratch {
+    /// Per-node selection vectors: the block rows each node matched.
+    sels: Vec<Vec<u32>>,
+    /// Nodes with a non-empty selection in the last partitioned block,
+    /// ascending. Callers `mem::take` it around their counting loop.
+    pub(crate) hit: Vec<usize>,
+    /// Per-row dispatch candidates.
+    candidates: Vec<usize>,
+    /// One row of a column-major block, reassembled for dispatch.
+    row: Vec<Code>,
+    /// Gathered columns handed to `add_block`, indexed by source column.
+    gather: Vec<Vec<Code>>,
+}
+
+impl BlockScratch {
+    /// Partition `block` into per-node selections. Each row is routed
+    /// through `dispatch` once, and the full predicate is evaluated only
+    /// on its candidates; `pred(idx)` returns `None` for nodes that no
+    /// longer count (fallen back), which are skipped.
+    pub(crate) fn partition<'p>(
+        &mut self,
+        block: Block<'_>,
+        dispatch: &Dispatch,
+        pred: impl Fn(usize) -> Option<&'p Pred>,
+    ) {
+        for &idx in &self.hit {
+            // analyze:allow(hot-path-panic): `hit` only holds indices of `sels`.
+            self.sels[idx].clear();
+        }
+        self.hit.clear();
+        self.sels.resize_with(dispatch.nodes(), Vec::new);
+        let mut row = std::mem::take(&mut self.row);
+        match block {
+            Block::Rows { flat, arity } => {
+                for (r, codes) in flat.chunks_exact(arity).enumerate() {
+                    self.route(r, codes, dispatch, &pred);
+                }
+            }
+            Block::Cols(cols) => {
+                for r in 0..block.nrows() {
+                    row.clear();
+                    // analyze:allow(hot-path-panic): every column of a
+                    // decoded block holds exactly `nrows` codes.
+                    row.extend(cols.iter().map(|c| c[r]));
+                    self.route(r, &row, dispatch, &pred);
+                }
+            }
+        }
+        self.row = row;
+        self.hit.sort_unstable();
+    }
+
+    /// File row `r` under every candidate node whose predicate it satisfies.
+    #[inline]
+    fn route<'p>(
+        &mut self,
+        r: usize,
+        row: &[Code],
+        dispatch: &Dispatch,
+        pred: &impl Fn(usize) -> Option<&'p Pred>,
+    ) {
+        dispatch.candidates(row, &mut self.candidates);
+        for &idx in &self.candidates {
+            let Some(p) = pred(idx) else { continue };
+            if !p.eval(row) {
+                continue;
+            }
+            // analyze:allow(hot-path-panic): Dispatch mints candidate
+            // indices below `nodes()`, the length `sels` was resized to.
+            let sel = &mut self.sels[idx];
+            if sel.is_empty() {
+                self.hit.push(idx);
+            }
+            sel.push(r as u32);
+        }
+    }
+
+    /// Rows node `idx` matched in the last partitioned block.
+    pub(crate) fn selected(&self, idx: usize) -> u64 {
+        self.sels.get(idx).map_or(0, |s| s.len() as u64)
+    }
+
+    /// Count node `idx`'s selected rows of `block` into `cc`: gather only
+    /// the tracked attribute and class columns at the node's selection,
+    /// then run the batched kernel. Returns the kernel's outcome and the
+    /// modelled bytes the table grew by.
+    pub(crate) fn count_into(
+        &mut self,
+        block: Block<'_>,
+        idx: usize,
+        cc: &mut CountsTable,
+        attrs: &[u16],
+        class_col: u16,
+    ) -> (BlockOutcome, u64) {
+        let Some(sel) = self.sels.get(idx) else {
+            return (BlockOutcome::default(), 0);
+        };
+        let refs: Vec<&[Code]> = match block {
+            // Every row selected: the columns already are the gather.
+            Block::Cols(cols) if sel.len() == block.nrows() => {
+                cols.iter().map(Vec::as_slice).collect()
+            }
+            _ => {
+                let arity = match block {
+                    Block::Rows { arity, .. } => arity,
+                    Block::Cols(cols) => cols.len(),
+                };
+                self.gather.resize_with(arity, Vec::new);
+                for &c in attrs.iter().chain(std::iter::once(&class_col)) {
+                    let c = usize::from(c);
+                    // analyze:allow(hot-path-panic): attrs and class index
+                    // the scanned schema's columns, and `gather` was resized
+                    // to that arity above.
+                    let dst = &mut self.gather[c];
+                    dst.clear();
+                    match block {
+                        Block::Rows { flat, arity } => {
+                            // analyze:allow(hot-path-panic): selected rows
+                            // were minted over this block, so every offset
+                            // is inside it.
+                            dst.extend(sel.iter().map(|&r| flat[r as usize * arity + c]));
+                        }
+                        Block::Cols(cols) => {
+                            // analyze:allow(hot-path-panic): same schema
+                            // bound; selected rows are below `nrows`.
+                            let src = &cols[c];
+                            // analyze:allow(hot-path-panic): selected rows
+                            // were minted over this block.
+                            dst.extend(sel.iter().map(|&r| src[r as usize]));
+                        }
+                    }
+                }
+                self.gather.iter().map(Vec::as_slice).collect()
+            }
+        };
+        let before = cc.entries();
+        let outcome = cc.add_block(&refs, class_col, attrs);
+        let grew = (cc.entries() - before) as u64 * CC_ENTRY_BYTES;
+        (outcome, grew)
     }
 }
 
@@ -183,9 +361,7 @@ impl BatchCounter {
             dispatch,
             scratch: Vec::with_capacity(8),
             batch_kernel: true,
-            col_scratch: Vec::new(),
-            gather_scratch: Vec::new(),
-            sel_scratch: Vec::new(),
+            block: BlockScratch::default(),
         }
     }
 
@@ -314,24 +490,13 @@ impl BatchCounter {
                 .any(|n| n.file_writer.is_some() || n.mem_buffer.is_some())
     }
 
-    /// Sum over live nodes of the worst-case modelled growth from counting
-    /// a `rows`-row block. When current use plus this bound clears the
-    /// budget, no eviction or §4.1.1 fallback can fire anywhere inside the
-    /// block — in either the block or the row path — so block counting is
-    /// bit-identical by construction.
-    fn block_growth_bound(&self, rows: u64) -> u64 {
-        self.nodes
-            .iter()
-            .filter(|n| !n.fallback)
-            .map(|n| n.cc.block_growth_bound(rows, n.req.attrs.len()))
-            .fold(0u64, u64::saturating_add)
-    }
-
     /// Feed a row-major block of rows through every scheduled node,
-    /// counting whole column blocks when the batched kernel can engage.
-    /// Falls back to [`BatchCounter::process_row`] per row — with
-    /// identical results — when the kernel is disabled, a staging tee is
-    /// active, or the block's growth bound cannot clear the budget.
+    /// counting it through the batched kernel when it can engage: the
+    /// block is partitioned into per-node selections first, then gated on
+    /// their growth bound, then gathered and counted. Falls back to
+    /// [`BatchCounter::process_row`] per row — with identical results —
+    /// when the kernel is disabled, a staging tee is active, or the
+    /// selections' growth bound cannot clear the budget.
     pub fn process_block(&mut self, flat: &[Code], stats: &mut MiddlewareStats) -> MwResult<()> {
         let arity = self.arity;
         debug_assert_eq!(flat.len() % arity, 0);
@@ -345,76 +510,62 @@ impl BatchCounter {
             }
             return Ok(());
         }
-        let bound = self.block_growth_bound(nrows as u64);
-        if self.has_tees() || self.memory_in_use().saturating_add(bound) > self.budget {
+        let block = Block::Rows { flat, arity };
+        let fits = !self.has_tees() && {
+            let nodes = &self.nodes;
+            self.block.partition(block, &self.dispatch, |idx| {
+                nodes.get(idx).filter(|n| !n.fallback).map(|n| n.req.pred())
+            });
+            self.memory_in_use()
+                .saturating_add(self.selection_growth_bound())
+                <= self.budget
+        };
+        if !fits {
             stats.block_fallback_rows += nrows as u64;
             for row in flat.chunks_exact(arity) {
                 self.process_row(row, stats)?;
             }
             return Ok(());
         }
-        // Transpose once into the reusable column scratch; every node's
-        // kernel call reads these same columns.
-        self.col_scratch.resize_with(arity, Vec::new);
-        for (c, col) in self.col_scratch.iter_mut().enumerate() {
-            col.clear();
-            col.extend(flat.iter().skip(c).step_by(arity).copied());
-        }
-        self.count_block(nrows, stats);
+        self.count_block(block, stats);
         stats.observe_memory(self.memory_in_use());
         Ok(())
     }
 
-    /// Count the transposed block in `col_scratch` into every live node.
-    /// Caller has already cleared the budget gate for `nrows` rows.
-    fn count_block(&mut self, nrows: usize, stats: &mut MiddlewareStats) {
-        for idx in 0..self.nodes.len() {
-            // analyze:allow(hot-path-panic): idx enumerates self.nodes
-            if self.nodes[idx].fallback {
+    /// Worst-case modelled growth from counting the partitioned block:
+    /// `Σ block_growth_bound(|selᵢ|, attrsᵢ)` over the nodes that matched a
+    /// row. A table only grows from rows it counts, by at most one entry
+    /// per tracked attribute per row, so when current use plus this bound
+    /// clears the budget no eviction or §4.1.1 fallback can fire anywhere
+    /// inside the block — in either the block or the row path — and block
+    /// counting is bit-identical by construction.
+    fn selection_growth_bound(&self) -> u64 {
+        self.block
+            .hit
+            .iter()
+            .filter_map(|&idx| {
+                let n = self.nodes.get(idx)?;
+                Some(n.cc.block_growth_bound(self.block.selected(idx), n.req.attrs.len()))
+            })
+            .fold(0u64, u64::saturating_add)
+    }
+
+    /// Count the partitioned block into every node that matched a row.
+    /// Caller has already cleared the selection-sized budget gate.
+    fn count_block(&mut self, block: Block<'_>, stats: &mut MiddlewareStats) {
+        let hit = std::mem::take(&mut self.block.hit);
+        for &idx in &hit {
+            let Some(node) = self.nodes.get_mut(idx) else {
                 continue;
-            }
-            // analyze:allow(hot-path-panic): idx enumerates self.nodes
-            let outcome = if matches!(self.nodes[idx].req.pred(), Pred::True) {
-                // Unselective node (the root): count the columns directly.
-                let refs: Vec<&[Code]> = self.col_scratch.iter().map(Vec::as_slice).collect();
-                let node = &mut self.nodes[idx]; // analyze:allow(hot-path-panic): idx enumerates self.nodes
-                let before = node.cc.entries();
-                let out = node
-                    .cc
-                    .add_block(&refs, node.req.class_col, &node.req.attrs);
-                self.cc_bytes += (node.cc.entries() - before) as u64 * CC_ENTRY_BYTES;
-                out
-            } else {
-                // Selective node: build the selection vector, then gather
-                // only the columns the kernel reads (attrs + class).
-                self.sel_scratch.clear();
-                let pred = self.nodes[idx].req.pred(); // analyze:allow(hot-path-panic): idx enumerates self.nodes
-                for r in 0..nrows {
-                    if pred_eval_cols(pred, &self.col_scratch, r) {
-                        self.sel_scratch.push(r as u32);
-                    }
-                }
-                if self.sel_scratch.is_empty() {
-                    continue;
-                }
-                self.gather_scratch.resize_with(self.arity, Vec::new);
-                let class_col = self.nodes[idx].req.class_col; // analyze:allow(hot-path-panic): idx enumerates self.nodes
-                let attrs = &self.nodes[idx].req.attrs; // analyze:allow(hot-path-panic): idx enumerates self.nodes
-                for &c in attrs.iter().chain(std::iter::once(&class_col)) {
-                    let src = &self.col_scratch[usize::from(c)]; // analyze:allow(hot-path-panic): attrs/class index the scanned schema's columns
-                    let dst = &mut self.gather_scratch[usize::from(c)]; // analyze:allow(hot-path-panic): gather_scratch was resized to the arity above
-                    dst.clear();
-                    // analyze:allow(hot-path-panic): sel rows were minted
-                    // over this block, so every index is < nrows.
-                    dst.extend(self.sel_scratch.iter().map(|&r| src[r as usize]));
-                }
-                let refs: Vec<&[Code]> = self.gather_scratch.iter().map(Vec::as_slice).collect();
-                let node = &mut self.nodes[idx]; // analyze:allow(hot-path-panic): idx enumerates self.nodes
-                let before = node.cc.entries();
-                let out = node.cc.add_block(&refs, class_col, &node.req.attrs);
-                self.cc_bytes += (node.cc.entries() - before) as u64 * CC_ENTRY_BYTES;
-                out
             };
+            let (outcome, grew) = self.block.count_into(
+                block,
+                idx,
+                &mut node.cc,
+                &node.req.attrs,
+                node.req.class_col,
+            );
+            self.cc_bytes += grew;
             if outcome.fallback_rows == 0 {
                 stats.blocks_counted += 1;
             } else {
@@ -423,6 +574,7 @@ impl BatchCounter {
             stats.kernel_validate_nanos += outcome.validate_nanos;
             stats.kernel_accumulate_nanos += outcome.accumulate_nanos;
         }
+        self.block.hit = hit;
         debug_assert!(
             self.memory_in_use() <= self.budget,
             "block kernel engaged without clearing its growth bound"
@@ -665,6 +817,66 @@ mod tests {
         assert_eq!(buf.len(), 3 * ARITY, "three a=1 rows teed in order");
         assert_eq!(&buf[0..3], &[1, 0, 1]);
         batch.assert_shadow_accounting();
+    }
+
+    #[test]
+    fn wide_batch_clears_the_selection_bound_and_matches_process_row() {
+        // 40 disjoint `a = v` nodes over 25 attributes: every row matches
+        // exactly one node, so the selections sum to the block's rows.
+        const NODES: u16 = 40;
+        const ATTRS: u16 = 25;
+        const ROWS: usize = 400;
+        let arity = usize::from(ATTRS) + 1;
+        let nodes = || -> Vec<NodeCounter> {
+            (0..NODES)
+                .map(|v| {
+                    NodeCounter::new(CcRequest {
+                        lineage: Lineage::root(NodeId(0))
+                            .child(NodeId(1 + u64::from(v)), Pred::Eq { col: 0, value: v }),
+                        attrs: (0..ATTRS).collect(),
+                        class_col: ATTRS,
+                        rows: 10,
+                        parent_rows: ROWS as u64,
+                        parent_cards: vec![4; usize::from(ATTRS)],
+                    })
+                })
+                .collect()
+        };
+        let flat: Vec<Code> = (0..ROWS)
+            .flat_map(|r| {
+                let key = (r % usize::from(NODES)) as Code;
+                let attrs = (1..ATTRS).map(move |a| ((r / 7 + usize::from(a)) % 4) as Code);
+                std::iter::once(key)
+                    .chain(attrs)
+                    .chain(std::iter::once((r % 2) as Code))
+            })
+            .collect();
+        // Twice the selection bound: the all-rows bound of the old gate is
+        // 40× the selection bound, so it cannot clear this budget.
+        let per_row = u64::from(ATTRS) * CC_ENTRY_BYTES;
+        let budget = 2 * ROWS as u64 * per_row;
+        assert!(u64::from(NODES) * ROWS as u64 * per_row > budget);
+
+        let mut rowwise = BatchCounter::new(nodes(), budget, 0, arity);
+        let mut s1 = MiddlewareStats::new();
+        for row in flat.chunks_exact(arity) {
+            rowwise.process_row(row, &mut s1).unwrap();
+        }
+        let mut blocked = BatchCounter::new(nodes(), budget, 0, arity);
+        let mut s2 = MiddlewareStats::new();
+        blocked.process_block(&flat, &mut s2).unwrap();
+        assert!(s2.blocks_counted > 0, "kernel engaged");
+        assert_eq!(s2.block_fallback_rows, 0);
+        assert_eq!(s1.sql_fallbacks, 0);
+        assert_eq!(s2.sql_fallbacks, 0);
+        for (a, b) in rowwise.nodes.iter().zip(&blocked.nodes) {
+            assert_eq!(a.cc, b.cc);
+            assert_eq!(a.cc.total(), b.cc.total());
+            assert!(!b.fallback);
+        }
+        assert_eq!(rowwise.memory_in_use(), blocked.memory_in_use());
+        assert_eq!(s1.peak_memory_bytes, s2.peak_memory_bytes);
+        blocked.assert_shadow_accounting();
     }
 
     #[test]

@@ -91,7 +91,7 @@
 use crate::cc::{CountsTable, CC_ENTRY_BYTES};
 use crate::config::MiddlewareConfig;
 use crate::error::{MwError, MwResult};
-use crate::executor::{BatchCounter, Dispatch};
+use crate::executor::{BatchCounter, Block, BlockScratch, Dispatch};
 use crate::metrics::{MiddlewareStats, WorkerScanStats};
 use crate::staging::{ExtentLayout, ExtentReader, TeeSpool, FILE_HEADER_BYTES};
 use crossbeam_channel::{bounded, Receiver, Sender};
@@ -120,7 +120,7 @@ struct Shared {
     arity: usize,
     /// Count whole blocks through `CountsTable::add_block` when the
     /// shard-level growth bound clears the budget (see
-    /// `ShardState::count_block_cols`); off pins the row path.
+    /// `ShardState::count_block`); off pins the row path.
     batch_kernel: bool,
     /// Total middleware memory budget in bytes.
     budget: u64,
@@ -207,12 +207,8 @@ struct ShardState {
     rows: u64,
     kernel_ns: u64,
     candidates: Vec<usize>,
-    /// Reusable column scratch for the channel workers' block transpose.
-    col_scratch: Vec<Vec<Code>>,
-    /// Reusable gathered-column scratch for selective predicates.
-    gather_scratch: Vec<Vec<Code>>,
-    /// Reusable selection-vector scratch.
-    sel_scratch: Vec<u32>,
+    /// Reusable partition/gather scratch for the batched kernel.
+    block: BlockScratch,
     blocks_counted: u64,
     block_fallback_rows: u64,
     validate_ns: u64,
@@ -227,9 +223,7 @@ impl ShardState {
             rows: 0,
             kernel_ns: 0,
             candidates: Vec::with_capacity(8),
-            col_scratch: Vec::new(),
-            gather_scratch: Vec::new(),
-            sel_scratch: Vec::new(),
+            block: BlockScratch::default(),
             blocks_counted: 0,
             block_fallback_rows: 0,
             validate_ns: 0,
@@ -305,27 +299,36 @@ impl ShardState {
         true
     }
 
-    /// Count one column-major block through the batched kernel, if its
-    /// growth bound clears the budget. The bound is *reserved* before
-    /// counting (so concurrent workers' gates serialize through
+    /// Count one block through the batched kernel, if the growth bound
+    /// of its per-node selections clears the budget. The block is
+    /// partitioned first (the same routine as the serial counter, see
+    /// [`BlockScratch`]); the selection-sized bound is then *reserved*
+    /// before counting (so concurrent workers' gates serialize through
     /// `cc_reserved`) and the surplus released after; a block counted here
     /// can therefore never cross the budget, which is what makes it
     /// bit-identical to the per-row checkpoint path. Returns false — with
     /// nothing counted and nothing reserved — when the gate fails; the
     /// caller must then feed the block through [`ShardState::count_row`].
-    fn count_block_cols(&mut self, cols: &[Vec<Code>], nrows: usize, shared: &Shared) -> bool {
+    fn count_block(&mut self, block: Block<'_>, dispatch: &Dispatch, shared: &Shared) -> bool {
+        let nrows = block.nrows();
         if nrows == 0 {
             return true;
         }
+        for idx in 0..shared.specs.len() {
+            self.honour_fallback(idx, shared);
+        }
+        let dropped = &self.dropped;
+        self.block
+            .partition(block, dispatch, |idx| match dropped.get(idx) {
+                Some(false) => shared.specs.get(idx).map(|s| &s.pred),
+                _ => None,
+            });
         let mut bound = 0u64;
-        for (idx, spec) in shared.specs.iter().enumerate() {
-            // analyze:allow(hot-path-panic): dropped/fallback parallel
-            // the spec vector.
-            if self.dropped[idx] || shared.fallback[idx].load(Ordering::Relaxed) {
+        for &idx in &self.block.hit {
+            let (Some(shard), Some(spec)) = (self.shards.get(idx), shared.specs.get(idx)) else {
                 continue;
-            }
-            // analyze:allow(hot-path-panic): shards parallels specs.
-            let b = self.shards[idx].block_growth_bound(nrows as u64, spec.attrs.len());
+            };
+            let b = shard.block_growth_bound(self.block.selected(idx), spec.attrs.len());
             bound = bound.saturating_add(b);
         }
         shared.cc_reserved.fetch_add(bound, Ordering::Relaxed);
@@ -335,49 +338,19 @@ impl ShardState {
         }
         self.rows += nrows as u64;
         let mut grew_total = 0u64;
-        for idx in 0..shared.specs.len() {
+        let hit = std::mem::take(&mut self.block.hit);
+        for &idx in &hit {
             if self.honour_fallback(idx, shared) {
                 continue;
             }
-            // analyze:allow(hot-path-panic): specs/shards parallel vectors.
-            let spec = &shared.specs[idx];
-            let outcome = if matches!(spec.pred, Pred::True) {
-                let refs: Vec<&[Code]> = cols.iter().map(Vec::as_slice).collect();
-                // analyze:allow(hot-path-panic): same parallel-vector bound.
-                let shard = &mut self.shards[idx];
-                let before = shard.entries();
-                let out = shard.add_block(&refs, spec.class_col, &spec.attrs);
-                grew_total += (shard.entries() - before) as u64 * CC_ENTRY_BYTES;
-                out
-            } else {
-                self.sel_scratch.clear();
-                for r in 0..nrows {
-                    if crate::executor::pred_eval_cols(&spec.pred, cols, r) {
-                        self.sel_scratch.push(r as u32);
-                    }
-                }
-                if self.sel_scratch.is_empty() {
-                    continue;
-                }
-                self.gather_scratch.resize_with(shared.arity, Vec::new);
-                for &c in spec.attrs.iter().chain(std::iter::once(&spec.class_col)) {
-                    // analyze:allow(hot-path-panic): attrs and class_col
-                    // index the scanned schema's columns by construction.
-                    let src = &cols[usize::from(c)];
-                    let dst = &mut self.gather_scratch[usize::from(c)]; // analyze:allow(hot-path-panic): gather_scratch was resized to the arity above
-                    dst.clear();
-                    // analyze:allow(hot-path-panic): sel rows were minted
-                    // over this same block.
-                    dst.extend(self.sel_scratch.iter().map(|&r| src[r as usize]));
-                }
-                let refs: Vec<&[Code]> = self.gather_scratch.iter().map(Vec::as_slice).collect();
-                // analyze:allow(hot-path-panic): same parallel-vector bound.
-                let shard = &mut self.shards[idx];
-                let before = shard.entries();
-                let out = shard.add_block(&refs, spec.class_col, &spec.attrs);
-                grew_total += (shard.entries() - before) as u64 * CC_ENTRY_BYTES;
-                out
+            let (Some(shard), Some(spec)) = (self.shards.get_mut(idx), shared.specs.get(idx))
+            else {
+                continue;
             };
+            let (outcome, grew) =
+                self.block
+                    .count_into(block, idx, shard, &spec.attrs, spec.class_col);
+            grew_total += grew;
             if outcome.fallback_rows == 0 {
                 self.blocks_counted += 1;
             } else {
@@ -386,23 +359,13 @@ impl ShardState {
             self.validate_ns += outcome.validate_nanos;
             self.accumulate_ns += outcome.accumulate_nanos;
         }
+        self.block.hit = hit;
         // Keep only what actually grew; the gate reservation guaranteed
         // `grew_total <= bound`, so this cannot underflow the global.
         shared
             .cc_reserved
             .fetch_sub(bound - grew_total, Ordering::Relaxed);
         true
-    }
-
-    /// Transpose a flat row-major block into the reusable column scratch.
-    fn transpose(&mut self, flat: &[Code], arity: usize) -> usize {
-        let nrows = flat.len() / arity;
-        self.col_scratch.resize_with(arity, Vec::new);
-        for (c, col) in self.col_scratch.iter_mut().enumerate() {
-            col.clear();
-            col.extend(flat.iter().skip(c).step_by(arity).copied());
-        }
-        nrows
     }
 
     fn into_result(self) -> WorkerResult {
@@ -424,10 +387,11 @@ fn worker_loop(rx: Receiver<Vec<Code>>, shared: Arc<Shared>) -> WorkerResult {
     for block in rx.iter() {
         let t0 = Instant::now();
         let counted = if shared.batch_kernel {
-            let nrows = state.transpose(&block, shared.arity);
-            let cols = std::mem::take(&mut state.col_scratch);
-            let ok = state.count_block_cols(&cols, nrows, &shared);
-            state.col_scratch = cols;
+            let flat = Block::Rows {
+                flat: &block,
+                arity: shared.arity,
+            };
+            let ok = state.count_block(flat, &dispatch, &shared);
             if !ok {
                 state.block_fallback_rows += (block.len() / shared.arity) as u64;
             }
@@ -493,7 +457,7 @@ fn shard_reader_loop(
         for k in range {
             let nrows = reader.decode_extent_columns(k, &mut cols, &mut io)?;
             let t0 = Instant::now();
-            if !state.count_block_cols(&cols, nrows, &shared) {
+            if !state.count_block(Block::Cols(&cols), &dispatch, &shared) {
                 state.block_fallback_rows += nrows as u64;
                 for r in 0..nrows {
                     row_buf.clear();

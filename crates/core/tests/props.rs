@@ -1093,3 +1093,89 @@ fn env_selected_session_count_matches_serial() {
         assert_sessions_match_serial(&rows, k, 24_000, dense_cap).unwrap();
     }
 }
+
+/// A random node predicate over four columns: the root, a leaf atom, a
+/// pure-`NotEq` conjunction, `And`s nested several levels deep (to the
+/// right and to the left), and an `Or`. Predicate values stay below 6 so
+/// rows (codes up to 9) also probe codes past the end of every dispatch
+/// table.
+fn dispatch_pred_strategy() -> impl Strategy<Value = Pred> {
+    let atom = (0u8..3, 0usize..4, 0u16..6);
+    (0u8..6, prop::collection::vec(atom, 1..6)).prop_map(|(shape, atoms)| {
+        let to_pred = |&(kind, col, value): &(u8, usize, Code)| match kind {
+            0 => Pred::Eq { col, value },
+            1 => Pred::NotEq { col, value },
+            _ => Pred::True,
+        };
+        let mut preds: Vec<Pred> = atoms.iter().map(to_pred).collect();
+        match shape {
+            0 => Pred::True,
+            1 => preds.swap_remove(0),
+            2 => Pred::And(
+                atoms
+                    .iter()
+                    .map(|&(_, col, value)| Pred::NotEq { col, value })
+                    .collect(),
+            ),
+            3 => preds
+                .into_iter()
+                .rev()
+                .reduce(|inner, outer| Pred::And(vec![outer, inner]))
+                .unwrap_or(Pred::True),
+            4 => preds
+                .into_iter()
+                .reduce(|inner, next| Pred::And(vec![inner, next]))
+                .unwrap_or(Pred::True),
+            _ => Pred::Or(preds),
+        }
+    })
+}
+
+/// The `Eq` atoms of a predicate's `And` tree, left to right.
+fn eq_atoms(pred: &Pred, out: &mut Vec<(usize, Code)>) {
+    match pred {
+        Pred::Eq { col, value } => out.push((*col, *value)),
+        Pred::And(children) => children.iter().for_each(|c| eq_atoms(c, out)),
+        _ => {}
+    }
+}
+
+proptest! {
+    /// `Dispatch::candidates` is a superset of the nodes whose predicate
+    /// holds on the row, listed in the documented order: unkeyed nodes
+    /// first, then dispatch columns ascending, each bucket in node order.
+    /// The reference keys every node by the last `Eq` atom of its `And`
+    /// tree and scans the whole batch once per column.
+    #[test]
+    fn dispatch_candidates_cover_matches_in_documented_order(
+        preds in prop::collection::vec(dispatch_pred_strategy(), 0..24),
+        rows in prop::collection::vec(
+            (0u16..10, 0u16..10, 0u16..10, 0u16..10).prop_map(|(a, b, c, d)| [a, b, c, d]),
+            1..40,
+        ),
+    ) {
+        let dispatch = scaleclass::executor::Dispatch::new(preds.iter());
+        let keys: Vec<Option<(usize, Code)>> = preds
+            .iter()
+            .map(|p| {
+                let mut atoms = Vec::new();
+                eq_atoms(p, &mut atoms);
+                atoms.last().copied()
+            })
+            .collect();
+        let mut got = Vec::new();
+        for row in &rows {
+            dispatch.candidates(row, &mut got);
+            for (i, p) in preds.iter().enumerate() {
+                if p.eval(row) {
+                    prop_assert!(got.contains(&i), "matching node {} missing", i);
+                }
+            }
+            let mut expect: Vec<usize> = (0..preds.len()).filter(|&i| keys[i].is_none()).collect();
+            for (col, &value) in row.iter().enumerate() {
+                expect.extend((0..preds.len()).filter(|&i| keys[i] == Some((col, value))));
+            }
+            prop_assert_eq!(&got, &expect);
+        }
+    }
+}
