@@ -10,9 +10,10 @@
 //! [`ParallelScan`] splits a counting pass into three roles:
 //!
 //! * **Producer (the scan thread).** Whatever drives the scan — a server
-//!   cursor, [`crate::staging::FileScan::next_row`], or chunks of a
-//!   memory-staged set — keeps pushing rows into [`RowSink::process_row`].
-//!   The coordinator packs them into fixed-size blocks
+//!   cursor, decoded staged-file extents, or chunks of a memory-staged
+//!   set — keeps pushing blocks into [`RowSink::process_block`], which
+//!   feeds their rows to [`ParallelScan::process_row`]. The coordinator
+//!   re-packs the rows into fixed-size blocks
 //!   ([`crate::config::MiddlewareConfig::scan_block_rows`]) and sends them
 //!   through a *bounded* channel, so a fast producer cannot outrun slow
 //!   workers by more than a few blocks (backpressure, not unbounded
@@ -755,13 +756,10 @@ impl ParallelScan {
             return Err(e);
         }
         // The 16-byte file header was read once (layout detection); charge
-        // it to reader 0 so per-worker bytes sum to the file size.
-        match io.first_mut() {
-            Some(w0) => w0.read_bytes += FILE_HEADER_BYTES,
-            None => io.push(WorkerScanStats {
-                read_bytes: FILE_HEADER_BYTES,
-                ..WorkerScanStats::default()
-            }),
+        // it to reader 0 (there is always one) so per-worker bytes sum to
+        // the file size.
+        if let Some(w0) = io.first_mut() {
+            w0.read_bytes += FILE_HEADER_BYTES;
         }
         self.rows_sent += results.iter().map(|r| r.rows).sum::<u64>();
         self.sharded = Some(ShardOutcome {
@@ -973,9 +971,9 @@ impl ParallelScan {
 // its `Sender`, the disconnect wakes every worker out of `recv`, and the
 // detached join handles let the threads exit on their own.
 
-/// A counting pass behind a uniform row interface: the exact serial
+/// A counting pass behind a uniform block interface: the exact serial
 /// [`BatchCounter`] when `scan_workers == 1`, the block pipeline
-/// otherwise. Scan drivers push rows and never know which one runs.
+/// otherwise. Scan drivers push blocks and never know which one runs.
 // One RowSink exists per scheduling round, held in a single stack frame
 // for the whole scan — the Serial/Parallel size gap costs nothing, and
 // boxing the serial BatchCounter would tax the default path instead.
@@ -985,6 +983,8 @@ pub enum RowSink {
     Serial {
         /// The counting state.
         batch: BatchCounter,
+        /// Codes per counting block (`scan_block_rows × arity`).
+        block_codes: usize,
         /// Rows fed so far.
         rows: u64,
         /// Scan start, for `scan_nanos`.
@@ -1005,6 +1005,7 @@ impl RowSink {
             )))
         } else {
             RowSink::Serial {
+                block_codes: config.scan_block_rows.max(1) * batch.arity,
                 batch,
                 rows: 0,
                 started: Instant::now(),
@@ -1020,26 +1021,24 @@ impl RowSink {
         }
     }
 
-    /// Feed one source row through the counting pass.
-    pub fn process_row(&mut self, row: &[Code], stats: &mut MiddlewareStats) -> MwResult<()> {
-        match self {
-            RowSink::Serial { batch, rows, .. } => {
-                *rows += 1;
-                batch.process_row(row, stats)
-            }
-            RowSink::Parallel(scan) => scan.process_row(row),
-        }
-    }
-
-    /// Feed a flat row-major block through the counting pass. Serial mode
-    /// hands the whole block to the batched kernel; parallel mode keeps
-    /// per-row feeding here because its packing/tee split lives in
-    /// [`ParallelScan::process_row`] and workers re-block anyway.
+    /// Feed flat row-major rows through the counting pass. Serial mode
+    /// hands them to the batched kernel in blocks of `scan_block_rows`;
+    /// parallel mode keeps per-row feeding here because its packing/tee
+    /// split lives in [`ParallelScan::process_row`] and workers re-block
+    /// anyway.
     pub fn process_block(&mut self, flat: &[Code], stats: &mut MiddlewareStats) -> MwResult<()> {
         match self {
-            RowSink::Serial { batch, rows, .. } => {
+            RowSink::Serial {
+                batch,
+                block_codes,
+                rows,
+                ..
+            } => {
                 *rows += (flat.len() / batch.arity) as u64;
-                batch.process_block(flat, stats)
+                for block in flat.chunks(*block_codes) {
+                    batch.process_block(block, stats)?;
+                }
+                Ok(())
             }
             RowSink::Parallel(scan) => {
                 let arity = scan.batch.arity;
@@ -1054,7 +1053,7 @@ impl RowSink {
     /// Serve an extent-format staging file with sharded reader threads, if
     /// this pass is parallel and the batch's tees allow it. Returns the
     /// per-reader I/O counters on success, `None` when the caller should
-    /// fall back to feeding rows through [`RowSink::process_row`].
+    /// fall back to feeding blocks through [`RowSink::process_block`].
     pub fn try_scan_extents(
         &mut self,
         layout: &ExtentLayout,
@@ -1072,6 +1071,7 @@ impl RowSink {
                 batch,
                 rows,
                 started,
+                ..
             } => {
                 stats.scan_rows += rows;
                 stats.scan_nanos += started.elapsed().as_nanos() as u64;
@@ -1303,7 +1303,7 @@ mod tests {
             w.push(r).unwrap();
         }
         let id = staging.commit_file(w, &mut stats).unwrap();
-        let layout = staging.extent_layout(id).unwrap().expect("extent format");
+        let layout = staging.extent_layout(id).unwrap();
         (staging, layout)
     }
 
@@ -1406,7 +1406,7 @@ mod tests {
             let mut stats = MiddlewareStats::new();
             let w = batch.nodes[1].file_writer.take().unwrap();
             let id = staging.commit_file(w, &mut stats).unwrap();
-            let path = staging.extent_layout(id).unwrap().unwrap().path;
+            let path = staging.extent_layout(id).unwrap().path;
             (std::fs::read(path).unwrap(), batch.nodes[1].cc.clone())
         };
 
@@ -1541,7 +1541,7 @@ mod tests {
             let mut sink = RowSink::new(BatchCounter::new(nodes(), u64::MAX, 0, ARITY), cfg);
             assert_eq!(sink.nodes().len(), 4);
             for r in &data {
-                sink.process_row(r, &mut stats).unwrap();
+                sink.process_block(r, &mut stats).unwrap();
             }
             let batch = sink.finish(&mut stats).unwrap();
             assert_eq!(stats.scan_rows, 400);

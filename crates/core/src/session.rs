@@ -43,7 +43,7 @@ use crate::request::{CcRequest, DataLocation, Lineage, NodeId};
 use crate::sample::{BlockSampler, SampledLedger, SampledScan};
 use crate::scheduler::{schedule, BatchPlan};
 use crate::sqlgen::cc_via_sql;
-use crate::staging::{ExtentReader, StagingManager};
+use crate::staging::{ExtentReader, StagingManager, FILE_HEADER_BYTES};
 use scaleclass_sqldb::stats::DbStats;
 use scaleclass_sqldb::{
     Code, Database, KeysetCursor, Pred, RowDelta, Schema, StatsSnapshot, CODE_BYTES,
@@ -739,32 +739,20 @@ impl Session {
         };
 
         let source = plan.source;
-        let mut sampled_tag = plan.sampled;
-        // Legacy row-stream staged files carry no extent directory, so
-        // there is no block structure to sample — degrade to exact rather
-        // than mis-tag a complete scan as a sample.
-        if sampled_tag.is_some() {
-            if let DataLocation::File(id) = source {
-                if self.staging.extent_layout(id)?.is_none() {
-                    sampled_tag = None;
-                }
-            }
-        }
+        let sampled_tag = plan.sampled;
         // The §4.3.3 threshold is judged on the *whole frontier's* relevant
         // data (batch + still-queued requests), not this batch alone — the
         // paper observes the techniques only apply once the active data set
         // has genuinely shrunk.
         let frontier_rows = plan.relevant_rows() + self.pending.iter().map(|r| r.rows).sum::<u64>();
         let batch = self.build_counters(plan, lease_bytes)?;
-        // Serial or parallel counting behind one row interface — the scan
-        // drivers below never know which one runs.
+        // Serial or parallel counting behind one block interface — the
+        // scan drivers below never know which one runs.
         let sink = RowSink::new(batch, &self.backend.config);
         let sink = match (source, sampled_tag) {
-            (DataLocation::Memory(id), Some(tag)) => self.scan_memory_sampled(id, sink, tag)?,
-            (DataLocation::File(id), Some(tag)) => self.scan_file_sampled(id, sink, tag)?,
+            (DataLocation::Memory(id), tag) => self.scan_memory(id, sink, tag)?,
+            (DataLocation::File(id), tag) => self.scan_file(id, sink, tag)?,
             (DataLocation::Server, Some(tag)) => self.scan_server_sampled(sink, tag)?,
-            (DataLocation::Memory(id), None) => self.scan_memory(id, sink)?,
-            (DataLocation::File(id), None) => self.scan_file(id, sink)?,
             (DataLocation::Server, None) => self.scan_server(sink, frontier_rows)?,
         };
         let batch = sink.finish(&mut self.stats)?;
@@ -915,7 +903,19 @@ impl Session {
         Ok(batch)
     }
 
-    fn scan_memory(&mut self, id: u64, mut sink: RowSink) -> MwResult<RowSink> {
+    // The staged scan drivers: one block loop per staged source. A
+    // sampled scan (DESIGN.md §13) admits whole blocks — memory scan
+    // blocks or staged-file extents — through the deterministic
+    // `BlockSampler` and charges `sampled_rows_scanned` for what it read
+    // and `exact_rows_saved` for what it skipped; an exact scan is the
+    // admit-all sampler and charges neither.
+
+    fn scan_memory(
+        &mut self,
+        id: u64,
+        mut sink: RowSink,
+        tag: Option<SampledScan>,
+    ) -> MwResult<RowSink> {
         self.stats.memory_scans += 1;
         let set = self
             .staging
@@ -925,49 +925,83 @@ impl Session {
         // the sink and the stats.
         let rows = &set.rows;
         let arity = self.backend.arity;
-        // Feed row-major blocks of `scan_block_rows` so the serial batched
-        // kernel sees the same block granularity as a file scan's extents.
-        // `block_codes` is a row multiple and so is `rows.len()`, so every
-        // chunk lands on a row boundary.
+        // Sampling admits the serial kernel's blocks of `scan_block_rows`;
+        // both `block_codes` and `rows.len()` are row multiples.
         let block_codes = self.backend.config.scan_block_rows.max(1) * arity;
+        let sampler = admission(tag);
         let mut read = 0u64;
-        for block in rows.chunks(block_codes) {
-            sink.process_block(block, &mut self.stats)?;
-            read += (block.len() / arity) as u64;
+        let mut skipped = 0u64;
+        for (k, block) in rows.chunks(block_codes).enumerate() {
+            let block_rows = (block.len() / arity) as u64;
+            if sampler.admits(k as u64) {
+                sink.process_block(block, &mut self.stats)?;
+                read += block_rows;
+            } else {
+                skipped += block_rows;
+            }
         }
         self.stats.memory_rows_read += read;
+        if tag.is_some() {
+            self.stats.sampled_rows_scanned += read;
+            self.stats.exact_rows_saved += skipped;
+        }
         Ok(sink)
     }
 
-    fn scan_file(&mut self, id: u64, mut sink: RowSink) -> MwResult<RowSink> {
+    fn scan_file(
+        &mut self,
+        id: u64,
+        mut sink: RowSink,
+        tag: Option<SampledScan>,
+    ) -> MwResult<RowSink> {
         self.stats.file_scans += 1;
-        let row_bytes = (self.backend.arity * CODE_BYTES) as u64;
-        // Extent-format files can be read-sharded: each scan worker owns a
+        let layout = self.staging.extent_layout(id)?;
+        let arity = self.backend.arity;
+        let row_bytes = (arity * CODE_BYTES) as u64;
+        // An exact scan can be read-sharded: each scan worker owns a
         // disjoint extent range, decoding into its own counting shard with
-        // no producer thread in between. Legacy files and batches whose
-        // tees demand a single ordered stream take the row loop below.
-        if self.backend.config.scan_workers > 1 {
-            if let Some(layout) = self.staging.extent_layout(id)? {
-                if let Some(per_reader) = sink.try_scan_extents(&layout)? {
-                    let rows: u64 = per_reader.iter().map(|w| w.rows).sum();
-                    self.stats.file_rows_read += rows;
-                    self.stats.file_bytes_read += rows * row_bytes;
-                    self.stats.sharded_file_scans += 1;
-                    self.scan_stats.absorb(&per_reader);
-                    return Ok(sink);
-                }
+        // no producer thread in between. Batches whose tees demand a single
+        // ordered stream take the extent loop below, and so do sampled
+        // scans: they read a fraction of the file, so the sharded-reader
+        // setup cost is rarely worth it, and the serial loop keeps
+        // admission identical across worker counts by construction.
+        if tag.is_none() && self.backend.config.scan_workers > 1 {
+            if let Some(per_reader) = sink.try_scan_extents(&layout)? {
+                let rows: u64 = per_reader.iter().map(|w| w.rows).sum();
+                self.stats.file_rows_read += rows;
+                self.stats.file_bytes_read += rows * row_bytes;
+                self.stats.sharded_file_scans += 1;
+                self.scan_stats.absorb(&per_reader);
+                return Ok(sink);
             }
         }
-        let mut scan = self.staging.open_file(id)?;
-        let mut row = Vec::with_capacity(self.backend.arity);
-        while scan.next_row(&mut row)? {
-            self.stats.file_rows_read += 1;
-            self.stats.file_bytes_read += row_bytes;
-            sink.process_row(&row, &mut self.stats)?;
+        let sampler = admission(tag);
+        let mut reader = ExtentReader::open(&layout)?;
+        // The 16-byte file header was read by layout detection; charge it
+        // once so the reader's bytes match what this scan read.
+        let mut ws = WorkerScanStats {
+            read_bytes: FILE_HEADER_BYTES,
+            ..WorkerScanStats::default()
+        };
+        let mut flat: Vec<Code> = Vec::new();
+        let mut read = 0u64;
+        let mut skipped = 0u64;
+        for k in 0..layout.extents {
+            if !sampler.admits(k) {
+                skipped += layout.rows_in_extent(k) as u64;
+                continue;
+            }
+            let nrows = reader.read_extent(k, &mut flat, &mut ws)?;
+            sink.process_block(&flat, &mut self.stats)?;
+            read += nrows as u64;
         }
-        if let Some(ws) = scan.worker_stats() {
-            self.scan_stats.absorb(&[ws]);
+        self.stats.file_rows_read += read;
+        self.stats.file_bytes_read += read * row_bytes;
+        if tag.is_some() {
+            self.stats.sampled_rows_scanned += read;
+            self.stats.exact_rows_saved += skipped;
         }
+        self.scan_stats.absorb(&[ws]);
         Ok(sink)
     }
 
@@ -1020,7 +1054,6 @@ impl Session {
             pushed,
             self.backend.config.wire_batch_rows,
         )?;
-        let block_codes = self.backend.config.scan_block_rows.max(1) * arity;
         let mut flat: Vec<Code> =
             Vec::with_capacity(self.backend.config.wire_batch_rows.saturating_mul(arity));
         loop {
@@ -1028,96 +1061,16 @@ impl Session {
             if cursor.fetch(&mut flat) == 0 {
                 break;
             }
-            for block in flat.chunks(block_codes) {
-                sink.process_block(block, &mut self.stats)?;
-            }
+            sink.process_block(&flat, &mut self.stats)?;
         }
         Ok(sink)
     }
 
-    // ------------------------------------------------------------------
-    // Sampled scan drivers (DESIGN.md §13)
-    // ------------------------------------------------------------------
-    //
-    // Each mirrors its exact counterpart but admits whole blocks — memory
-    // scan blocks, staged-file extents, or server row ranges — through the
-    // deterministic `BlockSampler`, charging `sampled_rows_scanned` for
-    // what it read and `exact_rows_saved` for what it skipped.
-
-    fn scan_memory_sampled(
-        &mut self,
-        id: u64,
-        mut sink: RowSink,
-        tag: SampledScan,
-    ) -> MwResult<RowSink> {
-        self.stats.memory_scans += 1;
-        let set = self
-            .staging
-            .mem_set(id)
-            .ok_or_else(|| MwError::Internal(format!("scheduled memory set {id} missing")))?;
-        let rows = &set.rows;
-        let arity = self.backend.arity;
-        let block_codes = self.backend.config.scan_block_rows.max(1) * arity;
-        let sampler = BlockSampler::new(tag.fraction);
-        let mut read = 0u64;
-        let mut skipped = 0u64;
-        for (k, block) in rows.chunks(block_codes).enumerate() {
-            let block_rows = (block.len() / arity) as u64;
-            if sampler.admits(k as u64) {
-                sink.process_block(block, &mut self.stats)?;
-                read += block_rows;
-            } else {
-                skipped += block_rows;
-            }
-        }
-        self.stats.memory_rows_read += read;
-        self.stats.sampled_rows_scanned += read;
-        self.stats.exact_rows_saved += skipped;
-        Ok(sink)
-    }
-
-    fn scan_file_sampled(
-        &mut self,
-        id: u64,
-        mut sink: RowSink,
-        tag: SampledScan,
-    ) -> MwResult<RowSink> {
-        self.stats.file_scans += 1;
-        let layout = self.staging.extent_layout(id)?.ok_or_else(|| {
-            MwError::Internal(format!("sampled scan of file {id} without extent layout"))
-        })?;
-        let arity = self.backend.arity;
-        let row_bytes = (arity * CODE_BYTES) as u64;
-        let block_codes = self.backend.config.scan_block_rows.max(1) * arity;
-        let sampler = BlockSampler::new(tag.fraction);
-        let mut reader = ExtentReader::open(&layout)?;
-        let mut ws = WorkerScanStats::default();
-        let mut flat: Vec<Code> = Vec::new();
-        let mut read = 0u64;
-        let mut skipped = 0u64;
-        // Serial extent loop even under `scan_workers > 1`: a sampled scan
-        // reads a fraction of the file, so the sharded-reader setup cost
-        // is rarely worth it and the serial path keeps admission identical
-        // across worker counts by construction.
-        for k in 0..layout.extents {
-            if !sampler.admits(k) {
-                skipped += layout.rows_in_extent(k) as u64;
-                continue;
-            }
-            let nrows = reader.read_extent(k, &mut flat, &mut ws)?;
-            for block in flat.chunks(block_codes) {
-                sink.process_block(block, &mut self.stats)?;
-            }
-            read += nrows as u64;
-        }
-        self.stats.file_rows_read += read;
-        self.stats.file_bytes_read += read * row_bytes;
-        self.stats.sampled_rows_scanned += read;
-        self.stats.exact_rows_saved += skipped;
-        self.scan_stats.absorb(&[ws]);
-        Ok(sink)
-    }
-
+    /// Sampled server scan (DESIGN.md §13). Kept apart from
+    /// [`Session::scan_server`]: the exact scan walks the heap through a
+    /// filtered cursor and may reuse a §4.3.3 aux structure, while a sample
+    /// reads admitted TID ranges through the block cursor, and the two
+    /// charge the server differently.
     fn scan_server_sampled(&mut self, mut sink: RowSink, tag: SampledScan) -> MwResult<RowSink> {
         self.stats.server_scans += 1;
         let filter = union_filter(&sink.nodes().iter().map(|n| &n.req).collect::<Vec<_>>());
@@ -1157,7 +1110,6 @@ impl Session {
             self.backend.config.wire_batch_rows,
             ranges,
         )?;
-        let block_codes = self.backend.config.scan_block_rows.max(1) * arity;
         let mut flat: Vec<Code> =
             Vec::with_capacity(self.backend.config.wire_batch_rows.saturating_mul(arity));
         loop {
@@ -1165,9 +1117,7 @@ impl Session {
             if cursor.fetch(&mut flat)? == 0 {
                 break;
             }
-            for block in flat.chunks(block_codes) {
-                sink.process_block(block, &mut self.stats)?;
-            }
+            sink.process_block(&flat, &mut self.stats)?;
         }
         self.stats.sampled_rows_scanned += covered;
         self.stats.exact_rows_saved += table_rows.saturating_sub(covered);
@@ -1212,8 +1162,6 @@ impl Session {
         residual: Pred,
         mut sink: RowSink,
     ) -> MwResult<RowSink> {
-        let arity = self.backend.arity;
-        let block_codes = self.backend.config.scan_block_rows.max(1) * arity;
         let handle = self
             .aux
             .get(idx)
@@ -1229,9 +1177,7 @@ impl Session {
                     if cursor.fetch(&mut flat) == 0 {
                         break;
                     }
-                    for block in flat.chunks(block_codes) {
-                        sink.process_block(block, &mut self.stats)?;
-                    }
+                    sink.process_block(&flat, &mut self.stats)?;
                 }
             }
             AuxKind::TidSet(name) => {
@@ -1244,18 +1190,14 @@ impl Session {
                 db_stats.add_bytes_shipped((flat.len() * CODE_BYTES) as u64);
                 db_stats.add_wire_round_trip();
                 drop(db);
-                for block in flat.chunks(block_codes) {
-                    sink.process_block(block, &mut self.stats)?;
-                }
+                sink.process_block(&flat, &mut self.stats)?;
             }
             AuxKind::Keyset(cursor) => {
                 let mut flat: Vec<Code> = Vec::new();
                 let db = self.backend.db_read();
                 cursor.scan_filtered(&db, &residual, &mut flat)?;
                 drop(db);
-                for block in flat.chunks(block_codes) {
-                    sink.process_block(block, &mut self.stats)?;
-                }
+                sink.process_block(&flat, &mut self.stats)?;
             }
         }
         Ok(sink)
@@ -1405,6 +1347,12 @@ impl Session {
         cursor.fetch_all(&mut out);
         Ok(out)
     }
+}
+
+/// The block-admission filter for a scan: the tag's fraction when
+/// sampled, and the admit-all sampler when exact.
+fn admission(tag: Option<SampledScan>) -> BlockSampler {
+    BlockSampler::new(tag.map_or(1.0, |t| t.fraction))
 }
 
 impl Drop for Session {
@@ -1576,6 +1524,60 @@ mod tests {
         assert!(s1.stats().lease_shrink_evictions >= 1);
         assert!(s1.staged_mem_bytes() <= s1.lease_bytes());
         s1.assert_shadow_accounting();
+    }
+
+    #[test]
+    fn sampled_file_scan_charges_the_header_and_admitted_extents() {
+        use crate::config::FileStagingPolicy;
+        let fraction = 0.25;
+        let cfg = MiddlewareConfig::builder()
+            .memory_caching(false)
+            .file_policy(FileStagingPolicy::Singleton)
+            .stage_extent_rows(8)
+            .sampled_counting(fraction)
+            .sampled_min_rows(0)
+            .shared_staging(false)
+            .build();
+        let be = backend(400, cfg);
+        let mut s = Session::open(Arc::clone(&be)).unwrap();
+
+        // The root's first scan is a server sample, which stages nothing;
+        // escalating it forces the exact rescan that stages the file.
+        let root = s.root_request(NodeId(0));
+        s.enqueue(root).unwrap();
+        assert!(s.process_next_batch().unwrap()[0].sample.is_some());
+        assert!(s.escalate(NodeId(0)));
+        assert!(s.process_next_batch().unwrap()[0].sample.is_none());
+        let child = Lineage::root(NodeId(0)).child(NodeId(1), Pred::Eq { col: 0, value: 0 });
+        let DataLocation::File(id) = s.staging.best_location(&child) else {
+            panic!("root rescan staged no file");
+        };
+        let layout = s.staging.extent_layout(id).unwrap();
+
+        // The child's batch is a sampled scan of that file.
+        let before = s.scan_stats().total_read_bytes();
+        s.enqueue(CcRequest {
+            lineage: child,
+            attrs: vec![0, 1],
+            class_col: 2,
+            rows: 100,
+            parent_rows: 400,
+            parent_cards: vec![4, 3],
+        })
+        .unwrap();
+        let out = s.process_next_batch().unwrap();
+        assert_eq!(out[0].source, DataLocation::File(id));
+        assert!(out[0].sample.is_some(), "served from a sample");
+
+        let sampler = BlockSampler::new(fraction);
+        let admitted: Vec<u64> = (0..layout.extents).filter(|&k| sampler.admits(k)).collect();
+        assert!(!admitted.is_empty() && admitted.len() < layout.extents as usize);
+        let extent_bytes: u64 = admitted
+            .iter()
+            .map(|&k| layout.extent_physical_bytes(k))
+            .sum();
+        let read = s.scan_stats().total_read_bytes() - before;
+        assert_eq!(read, FILE_HEADER_BYTES + extent_bytes);
     }
 
     #[test]

@@ -452,7 +452,7 @@ proptest! {
 
     /// SATELLITE PROPERTY: the extent-sharded file scan — where each
     /// reader thread owns a disjoint extent range and decodes locally —
-    /// is bit-identical to the serial `FileScan` path for any worker
+    /// is bit-identical to the serial extent-loop path for any worker
     /// count in 2..8 and extent sizes chosen so the last extent is
     /// partial (they don't divide the row count evenly). Run both with
     /// memory caching off (pure file scans) and on (sharded readers also
@@ -669,11 +669,11 @@ proptest! {
     /// {1, 2, 4, 8}, and extent sizes {1, 7, default}. Block counters are
     /// pipeline-shape (the kernel-off run never counts blocks), so only
     /// `logical` projections are compared; a kernel-off run must leave all
-    /// four block counters untouched. Legacy row-major files have no
-    /// extent layout and always take the row loop, so the knob is a no-op
-    /// there by construction (covered by the staging legacy-file test);
-    /// mid-block out-of-range fallback can't arise through a validated
-    /// schema and is pinned down by the cc/executor unit tests instead.
+    /// four block counters untouched. Serial file scans feed decoded
+    /// extents to the kernel as blocks, so the file path counts blocks
+    /// too at one worker; mid-block out-of-range fallback can't arise
+    /// through a validated schema and is pinned down by the cc/executor
+    /// unit tests instead.
     #[test]
     fn batched_kernel_bit_identical_to_row_path(
         rows in rows_strategy(),
@@ -725,6 +725,12 @@ proptest! {
                     on_stats.blocks_counted > 0,
                     "kernel on but no block was batch-counted ({} workers)",
                     workers
+                );
+            } else if workers == 1 {
+                // The serial file scan feeds whole extents as blocks.
+                prop_assert!(
+                    on_stats.blocks_counted > 0,
+                    "kernel on but no staged-file block was batch-counted"
                 );
             }
         }
